@@ -177,19 +177,6 @@ type Options struct {
 	// (number of step-size rungs whose factors are retained; 0 selects
 	// the stepper default of 4 slots).
 	FactorCache int
-	// BatchSize, when > 1, integrates restart attempts in lockstep batches
-	// of up to this many ensemble members on a shared interleaved
-	// structure-of-arrays state: one sweep assembles every member's system
-	// and one pass over the shared sparse symbolic factorization solves
-	// all of them (circuit.BatchIMEXStepper). Member identities are
-	// preserved — attempt k still draws its initial condition from
-	// Seed + k and the winner policy is unchanged — so results match the
-	// unbatched scheduler bit for bit. Requires the default IMEX stepper
-	// on a capacitive single-member portfolio without Dense; those
-	// configurations fail the solve with a configuration error. A non-nil
-	// Observe falls back silently to unbatched attempts (the callback
-	// contract is one trajectory at a time).
-	BatchSize int
 	// Verify enables per-step runtime invariant checking (voltage bounds,
 	// x ∈ [0,1], current window, finiteness — see internal/invariant) on
 	// every attempt; a blown bound fails the attempt with a structured
