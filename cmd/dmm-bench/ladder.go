@@ -8,10 +8,27 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/boolcirc"
 	"repro/internal/circuit"
 	"repro/internal/core"
 	"repro/internal/ode"
+	"repro/internal/solc"
 )
+
+// mult6 compiles the 6-bit multiplier SOLC (12-bit product pinned to
+// 2021 = 43 × 47) — the instance bench_test.go's BenchmarkIMEXStep
+// measures.
+func mult6() *circuit.Circuit {
+	bc := boolcirc.New()
+	p := bc.NewSignals(6)
+	q := bc.NewSignals(6)
+	prod := bc.Multiplier(p, q)
+	pins := map[boolcirc.Signal]bool{}
+	for i, s := range prod {
+		pins[s] = 2021&(1<<uint(i)) != 0
+	}
+	return solc.Compile(bc, pins, circuit.Default()).Eng.(*circuit.Circuit)
+}
 
 // ladderStats is one configuration's measurements in
 // BENCH_imex_ladder.json.

@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math/big"
 	"os"
 	"time"
 
@@ -37,7 +38,6 @@ func run() int {
 	portfolio := flag.Bool("portfolio", false, "race the heterogeneous solver portfolio (IMEX-capacitive vs RK45-quasistatic)")
 	showTrace := flag.Bool("trace", false, "render factor-bit voltage trajectories")
 	check := flag.Bool("check", false, "verify runtime invariants per step and post-hoc scan the recorded trace (no build tag needed)")
-	dense := flag.Bool("dense", false, "use the dense-LU voltage solve instead of the sparse symbolic-once default (A/B comparison)")
 	hladder := flag.Float64("hladder", 0, "step-size ladder ratio: quantize h onto the geometric grid ratio^k and reuse cached shifted factors (0 = off; 1.1892 = 2^(1/4) recommended)")
 	factorCache := flag.Int("factor-cache", 0, "IMEX shifted-factor cache capacity in step-size rungs (0 = default 4)")
 	co := obs.BindFlags("dmm-factor", flag.CommandLine)
@@ -61,7 +61,6 @@ func run() int {
 	cfg.FirstWin = *firstWin
 	cfg.Deadline = *deadline
 	cfg.Verify = *check
-	cfg.Dense = *dense
 	cfg.HLadder = *hladder
 	cfg.FactorCache = *factorCache
 	cfg.Telemetry = co.Telemetry
@@ -88,7 +87,7 @@ func run() int {
 				res.Metrics.Launched, res.Metrics.Cancelled)
 		}
 	} else {
-		fmt.Printf("no equilibrium reached (%s) — expected when n is prime (Fig. 13)\n", res.Reason)
+		fmt.Printf("no equilibrium reached (%s) — %s\n", res.Reason, missNote(*n))
 	}
 	if rec, ok := res.Trace.(*trace.Recorder); ok && rec.Len() > 0 {
 		fmt.Println("\nfactor-bit trajectories (−vc..+vc):")
@@ -111,4 +110,25 @@ func run() int {
 		return 2
 	}
 	return 0
+}
+
+// missNote classifies a run on n that reached no equilibrium. A prime has
+// no factor pair, so the miss is expected (Fig. 13). A composite whose
+// smallest factor exceeds the nq-bit word cannot be represented by the
+// multiplier circuit WordSizes builds (its cofactor always fits the
+// np-bit word, since n < 2^(np+1)). Any other composite has a
+// representable factor pair that was not found within the horizon.
+func missNote(n uint64) string {
+	// ProbablyPrime is exact for every input below 2^64.
+	if new(big.Int).SetUint64(n).ProbablyPrime(0) {
+		return "expected when n is prime (Fig. 13)"
+	}
+	np, nq := core.WordSizes(core.BitLen(n))
+	limit := uint64(1)<<uint(nq) - 1
+	for d := uint64(2); d <= limit && d <= n/d; d++ {
+		if n%d == 0 {
+			return "n is composite; its factors were not found within the horizon"
+		}
+	}
+	return fmt.Sprintf("n is composite, but no factor pair fits the (%d, %d)-bit words", np, nq)
 }

@@ -58,8 +58,6 @@ func (q *QuasiStatic) Clone() Engine {
 	cq.nodeV = la.NewVector(q.C.numNodes)
 	cq.csr = nil
 	cq.slu = nil
-	cq.aMat = nil
-	cq.lu = nil
 	cq.haveLU = false
 	cq.Refacts = 0
 	return &cq

@@ -126,8 +126,7 @@ func (s *IMEXStepper) ensureCache() {
 	s.cache.slots = make([]facSlot, n)
 }
 
-// refactorSlot assembles shift·I + A(g) on the sparse path (unless the
-// caller already assembled the current values into s.csr, signalled by
+// refactorSlot assembles shift·I + A(g) (unless the caller already assembled the current values into s.csr, signalled by
 // assembled) and factors it into the slot's numeric storage, re-keying
 // the slot to hBits.
 //
@@ -152,7 +151,7 @@ func (s *IMEXStepper) refactorSlot(slot *facSlot, hBits uint64, shift float64, a
 	}
 	if !assembled {
 		tok := s.Spans.Begin()
-		c.plan.assemble(s.csr.Val, false, shift, s.g)
+		c.plan.assemble(s.csr.Val, shift, s.g)
 		s.Spans.End(obs.PhaseStamp, tok)
 	}
 	s.slu.SetFactor(slot.fac)

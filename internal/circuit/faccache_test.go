@@ -52,6 +52,11 @@ func TestFacCacheLookupLRU(t *testing.T) {
 	if slot, hit := fc.lookup(key(1e-3)); !hit || slot != s1 {
 		t.Fatal("surviving rung lost after eviction of its neighbor")
 	}
+	// The key is exact: a step size one ulp off a cached rung is a miss,
+	// because any change of h changes the C/h diagonal shift.
+	if _, hit := fc.lookup(key(math.Nextafter(1e-3, 1))); hit {
+		t.Fatal("step size one ulp off a cached rung reported as cached")
+	}
 }
 
 // TestClassifyReuseTable is the table test of the reuse ladder: miss and

@@ -28,7 +28,7 @@ import (
 // symbolic factorization (internal/circuit/stamp.go, la.SparseLU): each
 // row of A couples a node only to the terminals sharing its gates, so the
 // system is sparse and a numeric refactorization costs O(fill) instead of
-// the dense O(nv³). Dense selects the dense-LU fallback for A/B runs.
+// the dense O(nv³).
 //
 // IMEXStepper implements ode.Stepper but is bound to one *Circuit: the sys
 // argument of Step must be that circuit.
@@ -72,10 +72,6 @@ type IMEXStepper struct {
 	// rungs, so a handful of slots captures nearly all revisits.
 	FactorCacheCap int
 
-	// Dense selects the dense partial-pivoting LU instead of the sparse
-	// symbolic-once path (the -dense A/B comparator).
-	Dense bool
-
 	// Obs, when non-nil, receives refactorization telemetry — the one
 	// event the driver cannot see. Accept/reject counting stays with the
 	// driver's own hook so steps are never double-counted.
@@ -87,23 +83,15 @@ type IMEXStepper struct {
 	// interval is ever charged to two phases.
 	Spans *obs.Spans
 
-	// sparse path: private values over the shared pattern, private numeric
-	// factors over the shared symbolic analysis, and the per-rung factor
-	// cache (the active factor is always cache.slots[...].fac installed
-	// via SetFactor).
+	// Private values over the shared pattern, private numeric factors
+	// over the shared symbolic analysis, and the per-rung factor cache
+	// (the active factor is always cache.slots[...].fac installed via
+	// SetFactor).
 	csr   *la.CSR
 	slu   *la.SparseLU
 	cache facCache
-	// dense path
-	aMat *la.Dense
-	lu   *la.LU
-
-	// dense-path factor identity (the sparse path keys by cache slot).
-	haveFactor bool
-	hAtFactor  float64
 
 	g      la.Vector // per-branch conductances in plan order [mem | resistor]
-	gCache la.Vector // memristor part at the last dense factorization
 	rhs    la.Vector
 	nodeV  la.Vector
 	vNew   la.Vector
@@ -153,8 +141,7 @@ const (
 )
 
 // NewIMEX returns an IMEX stepper bound to c, using the sparse
-// symbolic-once solve; set Dense before the first Step for the dense
-// fallback.
+// symbolic-once solve.
 func NewIMEX(c *Circuit, stats *ode.Stats) *IMEXStepper {
 	return &IMEXStepper{
 		c:             c,
@@ -164,7 +151,6 @@ func NewIMEX(c *Circuit, stats *ode.Stats) *IMEXStepper {
 		MaxRefine:     DefaultMaxRefine,
 		RefreshSweeps: DefaultRefreshSweeps,
 		g:             la.NewVector(c.memBr.len() + c.resBr.len()),
-		gCache:        la.NewVector(c.nm),
 		rhs:           la.NewVector(c.nv),
 		nodeV:         la.NewVector(c.numNodes),
 		vNew:          la.NewVector(c.nv),
@@ -181,23 +167,6 @@ func (s *IMEXStepper) Name() string { return "imex" }
 // Adaptive reports false: the stepper runs at the driver's fixed h.
 func (s *IMEXStepper) Adaptive() bool { return false }
 
-// needRefactor reports whether the dense path's factorization of
-// (C/h·I + A) must be refreshed for a step of size h: there is none yet,
-// the step size (and with it the diagonal shift) changed, staleness is
-// disabled (RefactorTol ≤ 0 refreshes every step), or some memristor
-// conductance drifted beyond the relative tolerance since the last
-// factorization. The sparse path makes the same decision per cache slot
-// in classifyReuse, with the additional refine band (see faccache.go).
-func (s *IMEXStepper) needRefactor(h float64) bool {
-	if !s.haveFactor || s.RefactorTol <= 0 {
-		return true
-	}
-	if s.hAtFactor != h { //dmmvet:allow floateq — exact cache key: any change of h invalidates the C/h diagonal shift
-		return true
-	}
-	return conductanceDrift(s.g[:s.c.nm], s.gCache, s.RefactorTol)
-}
-
 // conductanceDrift reports whether any entry of gNow has moved more than
 // tol (relative) from the cached value it was factorized at.
 func conductanceDrift(gNow, gCache la.Vector, tol float64) bool {
@@ -207,25 +176,6 @@ func conductanceDrift(gNow, gCache la.Vector, tol float64) bool {
 		}
 	}
 	return false
-}
-
-// factorizeDense assembles shift·I + A(g) through the stamp plan and
-// factors it with the dense partial-pivoting LU. The sparse path factors
-// through refactorSlot (faccache.go) instead.
-//
-//dmmvet:coldpath — runs only on dense-path refactor events (first step, h change, conductance drift past RefactorTol); its allocations are amortized across the run, not per-step
-func (s *IMEXStepper) factorizeDense(shift float64) error {
-	c := s.c
-	if s.aMat == nil {
-		s.aMat = la.NewDense(c.nv, c.nv)
-	}
-	c.plan.assemble(s.aMat.Data, true, shift, s.g)
-	lu, err := la.Factorize(s.aMat)
-	if err != nil {
-		return err
-	}
-	s.lu = lu
-	return nil
 }
 
 // countRefactor tallies one numeric refactorization.
@@ -246,18 +196,6 @@ func (s *IMEXStepper) countFactorHit(sweeps int) {
 	}
 	s.Obs.FactorHit()
 	s.Obs.Refine(sweeps)
-}
-
-// solveInto solves the factored voltage system. Both branches self-time
-// into PhaseSolve (the sparse solver through its own Spans hook).
-func (s *IMEXStepper) solveInto(dst, rhs la.Vector) {
-	if s.Dense {
-		tok := s.Spans.Begin()
-		s.lu.SolveInto(dst, rhs)
-		s.Spans.End(obs.PhaseSolve, tok)
-		return
-	}
-	s.slu.SolveInto(dst, rhs)
 }
 
 // Step advances the circuit state by h. It is the innermost loop of
@@ -290,52 +228,38 @@ func (s *IMEXStepper) Step(sys ode.System, t, h float64, x la.Vector) (float64, 
 	}
 	tok = s.Spans.Lap(obs.PhaseCondFill, tok)
 
-	// Factor bookkeeping for (C/h·I + A). The dense path keeps one factor
-	// guarded by needRefactor; the sparse path looks up the per-rung cache
-	// and either reuses a factor exactly, keeps a stale one for iterative
-	// refinement (resolved after the RHS is assembled), or refactors.
+	// Factor bookkeeping for (C/h·I + A): look up the per-rung cache and
+	// either reuse a factor exactly, keep a stale one for iterative
+	// refinement (resolved after the RHS is assembled), or refactor.
 	shift := p.C / h
 	var refineSlot *facSlot
 	var refineBits uint64
-	if s.Dense {
-		if s.needRefactor(h) {
-			if err := s.factorizeDense(shift); err != nil {
-				return 0, fmt.Errorf("%w: IMEX voltage system singular: %v", ode.ErrStepFailure, err)
-			}
-			s.gCache.CopyFrom(s.g[:c.nm])
-			s.hAtFactor = h
-			s.haveFactor = true
-			s.countRefactor()
-		}
+	s.ensureCache()
+	hBits := math.Float64bits(h)
+	slot, hit := s.cache.lookup(hBits)
+	switch s.classifyReuse(slot, hit) {
+	case facRefactor:
 		tok = s.Spans.Lap(obs.PhaseFactor, tok)
-	} else {
-		s.ensureCache()
-		hBits := math.Float64bits(h)
-		slot, hit := s.cache.lookup(hBits)
-		switch s.classifyReuse(slot, hit) {
-		case facRefactor:
-			tok = s.Spans.Lap(obs.PhaseFactor, tok)
-			// refactorSlot self-times: stamp around the assembly, and the
-			// numeric refactorization through the solver's own hook.
-			if err := s.refactorSlot(slot, hBits, shift, false); err != nil {
-				return 0, fmt.Errorf("%w: IMEX voltage system singular: %v", ode.ErrStepFailure, err)
-			}
-			s.countRefactor()
-			tok = s.Spans.Begin()
-		case facExact:
-			s.slu.SetFactor(slot.fac)
-			s.countFactorHit(0)
-			tok = s.Spans.Lap(obs.PhaseFactor, tok)
-		case facRefine:
-			// Assemble the current matrix values now — solveRefined
-			// computes residuals against them — but defer the solve (and
-			// the hit/refactor decision) until the RHS exists.
-			s.slu.SetFactor(slot.fac)
-			tok = s.Spans.Lap(obs.PhaseFactor, tok)
-			c.plan.assemble(s.csr.Val, false, shift, s.g)
-			tok = s.Spans.Lap(obs.PhaseStamp, tok)
-			refineSlot, refineBits = slot, hBits
+		// refactorSlot self-times: stamp around the assembly, and the
+		// numeric refactorization through the solver's own hook.
+		if err := s.refactorSlot(slot, hBits, shift, false); err != nil {
+			return 0, fmt.Errorf("%w: IMEX voltage system singular: %v", ode.ErrStepFailure, err)
 		}
+		s.countRefactor()
+		tok = s.Spans.Begin()
+	case facExact:
+		s.slu.SetFactor(slot.fac)
+		s.countFactorHit(0)
+		tok = s.Spans.Lap(obs.PhaseFactor, tok)
+	case facRefine:
+		// Assemble the current matrix values now — solveRefined computes
+		// residuals against them — but defer the solve (and the
+		// hit/refactor decision) until the RHS exists.
+		s.slu.SetFactor(slot.fac)
+		tok = s.Spans.Lap(obs.PhaseFactor, tok)
+		c.plan.assemble(s.csr.Val, shift, s.g)
+		tok = s.Spans.Lap(obs.PhaseStamp, tok)
+		refineSlot, refineBits = slot, hBits
 	}
 	s.rhs.Zero()
 	c.plan.assembleRHS(s.rhs, s.g, s.nodeV)
@@ -382,7 +306,7 @@ func (s *IMEXStepper) Step(sys ode.System, t, h float64, x la.Vector) (float64, 
 		s.vPrev2.CopyFrom(s.vPrev)
 		s.vPrev.CopyFrom(s.vNew)
 		tok = s.Spans.Lap(obs.PhaseSolve, tok)
-		s.solveInto(s.vNew, s.rhs) // self-times into PhaseSolve
+		s.slu.SolveInto(s.vNew, s.rhs) // self-times into PhaseSolve
 		tok = s.Spans.Begin()
 	}
 

@@ -23,7 +23,7 @@ import (
 // refreshed when any conductance drifts beyond a relative threshold. The
 // solve shares the capacitive engine's stamp plan and one-time symbolic
 // factorization (internal/circuit/stamp.go) with the tiny g_leak diagonal
-// shift in place of C/h; Dense selects the dense-LU fallback.
+// shift in place of C/h.
 type QuasiStatic struct {
 	C *Circuit
 
@@ -39,15 +39,9 @@ type QuasiStatic struct {
 	// circuits.
 	RefactorTol float64
 
-	// Dense selects the dense partial-pivoting LU instead of the sparse
-	// symbolic-once path (the -dense A/B comparator).
-	Dense bool
-
 	// factorization cache
-	csr     *la.CSR      // sparse path: private values over the shared pattern
-	slu     *la.SparseLU // sparse path: private numerics over the shared symbolic
-	aMat    *la.Dense    // dense path
-	lu      *la.LU       // dense path
+	csr     *la.CSR      // private values over the shared pattern
+	slu     *la.SparseLU // private numerics over the shared symbolic
 	g       la.Vector    // per-branch conductances in plan order [mem | resistor]
 	gCache  la.Vector    // memristor part at factorization
 	rhs     la.Vector
@@ -57,12 +51,15 @@ type QuasiStatic struct {
 	Refacts int // factorization count (observability)
 }
 
+// defaultGLeak is the g_leak diagonal shift BuildQS installs.
+const defaultGLeak = 1e-9
+
 // BuildQS compiles the builder's contents into the quasi-static engine.
 func (b *Builder) BuildQS() *QuasiStatic {
 	c := b.Build()
 	q := &QuasiStatic{
 		C:      c,
-		gLeak:  1e-9,
+		gLeak:  defaultGLeak,
 		g:      la.NewVector(c.memBr.len() + c.resBr.len()),
 		gCache: la.NewVector(c.nm),
 		rhs:    la.NewVector(c.nv),
@@ -93,21 +90,9 @@ func (q *QuasiStatic) iOff() int { return q.C.nm }
 func (q *QuasiStatic) sOff() int { return q.C.nm + q.C.nd }
 
 // factorize assembles g_leak·I + A(g) through the stamp plan and factors
-// it on the selected path.
+// it.
 func (q *QuasiStatic) factorize() error {
 	c := q.C
-	if q.Dense {
-		if q.aMat == nil {
-			q.aMat = la.NewDense(c.nv, c.nv)
-		}
-		c.plan.assemble(q.aMat.Data, true, q.gLeak, q.g)
-		lu, err := la.Factorize(q.aMat)
-		if err != nil {
-			return err
-		}
-		q.lu = lu
-		return nil
-	}
 	if q.slu == nil {
 		q.csr = c.plan.valCSR()
 		slu, err := c.symb.CloneFor(q.csr)
@@ -116,7 +101,7 @@ func (q *QuasiStatic) factorize() error {
 		}
 		q.slu = slu
 	}
-	c.plan.assemble(q.csr.Val, false, q.gLeak, q.g)
+	c.plan.assemble(q.csr.Val, q.gLeak, q.g)
 	return q.slu.Refactor()
 }
 
@@ -153,11 +138,7 @@ func (q *QuasiStatic) solveVoltages(t float64, x la.Vector) error {
 			q.rhs[fi] -= x[q.iOff()+k]
 		}
 	}
-	if q.Dense {
-		q.lu.SolveInto(q.vSol, q.rhs)
-	} else {
-		q.slu.SolveInto(q.vSol, q.rhs)
-	}
+	q.slu.SolveInto(q.vSol, q.rhs)
 	for n := 0; n < c.numNodes; n++ {
 		if fi := c.freeIdx[n]; fi >= 0 {
 			q.nodeV[n] = q.vSol[fi]

@@ -5,7 +5,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/boolcirc"
 	"repro/internal/la"
+	"repro/internal/ode"
 	"repro/internal/solg"
 )
 
@@ -23,103 +25,98 @@ func buildMixed(t *testing.T) *Circuit {
 	return b.Build()
 }
 
-// TestNeedRefactorPredicate is the table test pinning the refactor
-// decision: a missing factorization, a changed step size, a disabled
-// staleness tolerance, or a conductance drift beyond tolerance each force
-// a refresh; staleness within tolerance does not.
-func TestNeedRefactorPredicate(t *testing.T) {
-	c := buildMixed(t)
-	cases := []struct {
-		name       string
-		haveFactor bool
-		hAtFactor  float64
-		h          float64
-		tol        float64
-		drift      float64 // relative drift applied to g[0] vs gCache
-		want       bool
-	}{
-		{"no factorization yet", false, 0, 1e-3, 5e-3, 0, true},
-		{"cached, same h, no drift", true, 1e-3, 1e-3, 5e-3, 0, false},
-		{"step size changed", true, 1e-3, 2e-3, 5e-3, 0, true},
-		{"tolerance zero refreshes every step", true, 1e-3, 1e-3, 0, 0, true},
-		{"tolerance negative refreshes every step", true, 1e-3, 1e-3, -1, 0, true},
-		{"drift beyond tolerance", true, 1e-3, 1e-3, 5e-3, 8e-3, true},
-		{"drift within tolerance", true, 1e-3, 1e-3, 5e-3, 3e-3, false},
+// buildMult3 compiles the 3-bit multiplier SOLC (6-bit product pinned to
+// 15 = 3 × 5) the way solc.Compile does: one node per boolean signal, one
+// self-organizing gate per boolean gate, and the circuit constants plus
+// the product bits pinned.
+func buildMult3(t *testing.T) *Circuit {
+	t.Helper()
+	kinds := map[boolcirc.Op]solg.Kind{
+		boolcirc.And: solg.AND, boolcirc.Or: solg.OR, boolcirc.Xor: solg.XOR,
+		boolcirc.Nand: solg.NAND, boolcirc.Nor: solg.NOR, boolcirc.Xnor: solg.XNOR,
 	}
-	for _, tc := range cases {
-		s := NewIMEX(c, nil)
-		s.RefactorTol = tc.tol
-		s.haveFactor = tc.haveFactor
-		s.hAtFactor = tc.hAtFactor
-		for m := 0; m < c.nm; m++ {
-			s.gCache[m] = 1
-			s.g[m] = 1
-		}
-		s.g[0] = 1 + tc.drift
-		if got := s.needRefactor(tc.h); got != tc.want {
-			t.Errorf("%s: needRefactor = %v, want %v", tc.name, got, tc.want)
-		}
+	bc := boolcirc.New()
+	prod := bc.Multiplier(bc.NewSignals(3), bc.NewSignals(3))
+	pins := bc.Constants()
+	for i, s := range prod {
+		pins[s] = 15&(1<<uint(i)) != 0
 	}
+	b := NewBuilder(Default())
+	nodes := b.Nodes(bc.NumSignals())
+	for _, g := range bc.Gates {
+		if g.Op == boolcirc.Not {
+			b.AddNot(nodes[g.A], nodes[g.Out])
+			continue
+		}
+		k, ok := kinds[g.Op]
+		if !ok {
+			t.Fatalf("unmapped boolean op %v", g.Op)
+		}
+		b.AddGate(k, nodes[g.A], nodes[g.B], nodes[g.Out])
+	}
+	for s, v := range pins {
+		b.PinBit(nodes[s], v)
+	}
+	return b.Build()
 }
 
-// TestIMEXSparseMatchesDenseTrajectory steps the same circuit state with
-// the sparse and dense solvers and requires the trajectories to agree to
-// solver precision — the two paths factor the identical operator.
-func TestIMEXSparseMatchesDenseTrajectory(t *testing.T) {
-	c1 := buildMixed(t)
-	c2 := buildMixed(t)
-	x1 := c1.InitialState(rand.New(rand.NewSource(5)))
-	x2 := x1.Clone()
-	sp := NewIMEX(c1, nil)
-	dn := NewIMEX(c2, nil)
-	dn.Dense = true
-	// Refactor every step so both paths factor at identical conductances.
-	sp.RefactorTol = 0
-	dn.RefactorTol = 0
-	h := 1e-3
-	for k := 0; k < 500; k++ {
-		tNow := float64(k) * h
-		if _, err := sp.Step(c1, tNow, h, x1); err != nil {
-			t.Fatalf("sparse step %d: %v", k, err)
-		}
-		if _, err := dn.Step(c2, tNow, h, x2); err != nil {
-			t.Fatalf("dense step %d: %v", k, err)
-		}
-		c1.ClampState(x1)
-		c2.ClampState(x2)
+// TestSparseLUMatchesDenseOracle is the differential oracle for the
+// voltage solve: on stamped systems — the 3-bit multiplier SOLC and
+// buildMixed, random memristor states, and every diagonal shift the
+// engines factor (C/h at h = 1e-3 and at the step-size ladder's rungs
+// around it for IMEX, g_leak for the quasi-static form) — the circuit's
+// SparseLU clone must agree with the dense partial-pivoting LU to 1e-9
+// relative.
+func TestSparseLUMatchesDenseOracle(t *testing.T) {
+	ladder, err := ode.NewHLadder(ode.DefaultLadderRatio)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range x1 {
-		if math.Abs(x1[i]-x2[i]) > 1e-8 {
-			t.Fatalf("state diverged at %d: sparse %v dense %v", i, x1[i], x2[i])
-		}
+	hs := []float64{1e-3}
+	for k := ladder.Rung(1e-3) - 4; k <= ladder.Rung(1e-3)+4; k++ {
+		hs = append(hs, ladder.Value(k))
 	}
-}
-
-// TestQSSparseMatchesDenseVoltages solves the quasi-static Kirchhoff
-// system for random reduced states on both paths and compares voltages.
-func TestQSSparseMatchesDenseVoltages(t *testing.T) {
-	mk := func() *QuasiStatic {
-		b := NewBuilder(Default())
-		n := b.Nodes(4)
-		b.AddGate(solg.OR, n[0], n[1], n[2])
-		b.AddGate(solg.NAND, n[1], n[2], n[3])
-		b.PinBit(n[3], false)
-		return b.BuildQS()
-	}
-	qs, qd := mk(), mk()
-	qd.Dense = true
-	qs.RefactorTol, qd.RefactorTol = 0, 0
-	rng := rand.New(rand.NewSource(9))
-	for trial := 0; trial < 20; trial++ {
-		x := qs.InitialState(rng)
-		for m := 0; m < qs.C.nm; m++ {
-			x[m] = rng.Float64()
+	rng := rand.New(rand.NewSource(11))
+	for _, tc := range []struct {
+		name string
+		c    *Circuit
+	}{{"mult3", buildMult3(t)}, {"mixed", buildMixed(t)}} {
+		c := tc.c
+		shifts := []float64{defaultGLeak}
+		for _, h := range hs {
+			shifts = append(shifts, c.Params.C/h)
 		}
-		vs := qs.NodeVoltages(1.5, x, nil)
-		vd := qd.NodeVoltages(1.5, x, nil)
-		for n := range vs {
-			if math.Abs(vs[n]-vd[n]) > 1e-9 {
-				t.Fatalf("trial %d node %d: sparse %v dense %v", trial, n, vs[n], vd[n])
+		csr := c.plan.valCSR()
+		slu, err := c.symb.CloneFor(csr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g := la.NewVector(c.memBr.len() + c.resBr.len())
+		rhs := la.NewVector(c.nv)
+		xs := la.NewVector(c.nv)
+		for trial := 0; trial < 4; trial++ {
+			x := c.InitialState(rng)
+			c.fillConductances(g, x, c.xOff())
+			nodeV := c.NodeVoltages(0.5, x, nil)
+			for _, shift := range shifts {
+				c.plan.assemble(csr.Val, shift, g)
+				rhs.Zero()
+				c.plan.assembleRHS(rhs, g, nodeV)
+				for f := 0; f < c.nv; f++ {
+					rhs[f] += shift * x[c.vOff()+f]
+				}
+				if err := slu.Refactor(); err != nil {
+					t.Fatalf("%s trial %d shift %g: sparse refactor: %v", tc.name, trial, shift, err)
+				}
+				slu.SolveInto(xs, rhs)
+				xd, err := la.SolveDense(csr.ToDense(), rhs)
+				if err != nil {
+					t.Fatalf("%s trial %d shift %g: dense solve: %v", tc.name, trial, shift, err)
+				}
+				if d, scale := xs.MaxAbsDiff(xd), xd.NormInf(); d > 1e-9*scale {
+					t.Fatalf("%s trial %d shift %g: sparse vs dense differ by %.3g (‖x‖∞ = %.3g)",
+						tc.name, trial, shift, d, scale)
+				}
 			}
 		}
 	}
@@ -140,7 +137,7 @@ func TestStampPlanMatchesDerivative(t *testing.T) {
 	g := la.NewVector(c.memBr.len() + c.resBr.len())
 	c.fillConductances(g, x, c.xOff())
 	vals := make([]float64, c.plan.csr.NNZ())
-	c.plan.assemble(vals, false, 0, g)
+	c.plan.assemble(vals, 0, g)
 	a := &la.CSR{Rows: c.nv, Cols: c.nv, RowPtr: c.plan.csr.RowPtr, ColIdx: c.plan.csr.ColIdx, Val: vals}
 	nodeV := c.NodeVoltages(tNow, x, nil)
 	rhs := la.NewVector(c.nv)

@@ -55,9 +55,6 @@ type Config struct {
 	// Verify enables per-step runtime invariant checking on every attempt
 	// (see internal/invariant); the cmds expose it as -check.
 	Verify bool
-	// Dense selects the dense-LU voltage solve instead of the default
-	// sparse symbolic-once path; the cmds expose it as -dense.
-	Dense bool
 	// HLadder, when > 1, quantizes step sizes onto the geometric ladder
 	// with this ratio and enables stale-factor refinement, amortizing the
 	// IMEX refactorizations (see solc.Options.HLadderRatio); the cmds
@@ -163,7 +160,6 @@ func (cfg Config) options() solc.Options {
 		opts.Policy = solc.WinnerFirstDone
 	}
 	opts.Verify = cfg.Verify
-	opts.Dense = cfg.Dense
 	opts.HLadderRatio = cfg.HLadder
 	opts.FactorCache = cfg.FactorCache
 	opts.Telemetry = cfg.Telemetry

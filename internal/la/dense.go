@@ -89,11 +89,10 @@ func (m *Dense) Mul(b *Dense) *Dense {
 
 // LU holds an LU factorization with partial pivoting: P*A = L*U.
 type LU struct {
-	n       int
-	lu      []float64 // packed L (unit diagonal, below) and U (on/above diagonal)
-	piv     []int     // row permutation
-	sign    int       // permutation parity, for Det
-	scratch Vector    // SolveInto work area, so the per-step solve never allocates
+	n    int
+	lu   []float64 // packed L (unit diagonal, below) and U (on/above diagonal)
+	piv  []int     // row permutation
+	sign int       // permutation parity, for Det
 }
 
 // Factorize computes the LU decomposition of the square matrix a with
@@ -104,7 +103,7 @@ func Factorize(a *Dense) (*LU, error) {
 		panic("la: Factorize requires a square matrix")
 	}
 	n := a.Rows
-	f := &LU{n: n, lu: make([]float64, n*n), piv: make([]int, n), sign: 1, scratch: make(Vector, n)}
+	f := &LU{n: n, lu: make([]float64, n*n), piv: make([]int, n), sign: 1}
 	copy(f.lu, a.Data)
 	for i := range f.piv {
 		f.piv[i] = i
@@ -148,29 +147,11 @@ func Factorize(a *Dense) (*LU, error) {
 // Solve solves A*x = b for x, overwriting nothing; the solution is returned
 // as a fresh vector.
 func (f *LU) Solve(b Vector) Vector {
-	x := make(Vector, f.n)
-	f.solveInPlace(x, b)
-	return x
-}
-
-// SolveInto is like Solve but writes the result into dst (which may alias
-// b) without allocating: the substitution runs in the factorization's
-// scratch vector, sized once in Factorize. This keeps the dense IMEX
-// voltage solve on the zero-alloc step budget.
-//
-//dmmvet:hotpath
-func (f *LU) SolveInto(dst, b Vector) {
-	f.solveInPlace(f.scratch, b)
-	copy(dst, f.scratch)
-}
-
-// solveInPlace permutes b into x and substitutes in place; x must not
-// alias b.
-func (f *LU) solveInPlace(x, b Vector) {
 	if len(b) != f.n {
 		panic("la: Solve length mismatch")
 	}
 	n := f.n
+	x := make(Vector, n)
 	// Apply permutation.
 	for i := 0; i < n; i++ {
 		x[i] = b[f.piv[i]]
@@ -192,6 +173,7 @@ func (f *LU) solveInPlace(x, b Vector) {
 		}
 		x[i] = (x[i] - s) / f.lu[i*n+i]
 	}
+	return x
 }
 
 // Det returns the determinant of the factorized matrix.

@@ -148,17 +148,3 @@ func TestLUSolveProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
-
-func TestSolveInto(t *testing.T) {
-	a := Identity(3)
-	a.Set(0, 0, 2)
-	fct, err := Factorize(a)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b := Vector{4, 5, 6}
-	fct.SolveInto(b, b) // aliasing allowed
-	if b[0] != 2 || b[1] != 5 || b[2] != 6 {
-		t.Fatalf("got %v, want [2 5 6]", b)
-	}
-}

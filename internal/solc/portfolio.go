@@ -302,14 +302,6 @@ func (pf *Portfolio) runAttempt(ctx context.Context, idx int, opts Options) (att
 	if err != nil {
 		return attemptOut{}, err
 	}
-	if opts.Dense {
-		if im, ok := stepper.(*circuit.IMEXStepper); ok {
-			im.Dense = true
-		}
-		if qs, ok := eng.(*circuit.QuasiStatic); ok {
-			qs.Dense = true
-		}
-	}
 	var ladder *ode.HLadder
 	if opts.HLadderRatio > 0 {
 		ladder, err = ode.NewHLadder(opts.HLadderRatio)

@@ -158,10 +158,6 @@ type Options struct {
 	// Ctx, when non-nil, cancels the solve externally (nil means
 	// context.Background).
 	Ctx context.Context
-	// Dense selects the dense-LU fallback for the voltage solves (IMEX and
-	// quasi-static) instead of the default sparse symbolic-once path — the
-	// A/B comparator behind the cmds' -dense flag.
-	Dense bool
 	// HLadderRatio, when > 1, quantizes every attempted step size down
 	// onto the geometric ladder h_k = ratio^k (ode.HLadder;
 	// ode.DefaultLadderRatio = 2^(1/4) is the recommended value) so steps
