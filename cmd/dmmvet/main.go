@@ -1,6 +1,7 @@
 // Command dmmvet runs the repository's custom static analyzers — the
-// mechanical half of the solver's numerical and concurrency contracts
-// (the runtime half lives in internal/invariant):
+// mechanical half of the solver's numerical and determinism contracts
+// (the runtime half lives in internal/invariant, and goroutine leaks are
+// caught at run time by internal/leaktest):
 //
 //	floateq         no ==/!= on floating-point expressions
 //	seeddet         no global math/rand or wall-clock seeding (Seed+attempt determinism)
@@ -10,9 +11,6 @@
 //	hotalloc        no allocations reachable from //dmmvet:hotpath roots
 //	detflow         no map-order/wall-clock dataflow into solver results
 //	atomicstate     no mixed atomic/plain access to the same field
-//	goroleak        every entry-point-reachable goroutine has a termination path
-//	lockorder       mutexes released on every warm path; acquisition order acyclic
-//	chandisc        channels close once, never racing senders; hot sends buffered
 //	fparith         hot-path FMA-fusable float products carry an explicit
 //	                rounding barrier (or math.FMA, or a waiver)
 //
@@ -67,14 +65,11 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/atomicstate"
-	"repro/internal/analysis/chandisc"
 	"repro/internal/analysis/ctxfirst"
 	"repro/internal/analysis/detflow"
 	"repro/internal/analysis/floateq"
 	"repro/internal/analysis/fparith"
-	"repro/internal/analysis/goroleak"
 	"repro/internal/analysis/hotalloc"
-	"repro/internal/analysis/lockorder"
 	"repro/internal/analysis/nakedgoroutine"
 	"repro/internal/analysis/seeddet"
 	"repro/internal/analysis/stateclone"
@@ -83,14 +78,11 @@ import (
 func all() []*analysis.Analyzer {
 	return []*analysis.Analyzer{
 		atomicstate.Analyzer,
-		chandisc.Analyzer,
 		ctxfirst.Analyzer,
 		detflow.Analyzer,
 		floateq.Analyzer,
 		fparith.Analyzer,
-		goroleak.Analyzer,
 		hotalloc.Analyzer,
-		lockorder.Analyzer,
 		nakedgoroutine.Analyzer,
 		seeddet.Analyzer,
 		stateclone.Analyzer,

@@ -42,7 +42,7 @@ func Run(t *testing.T, a *analysis.Analyzer, dir, importPath string) {
 // before its importer, so cross-fixture imports resolve through the
 // Loader's registry — and the analyzer sees all of them at once. That
 // is the shape interprocedural analyzers need in tests: a caller in
-// package A, the goroutine it spawns in package B. `// want` comments
+// package A, its callee in package B. `// want` comments
 // are honored in every package.
 func RunPkgs(t *testing.T, a *analysis.Analyzer, fixturePkgs []Pkg) {
 	t.Helper()

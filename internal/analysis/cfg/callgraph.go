@@ -22,8 +22,8 @@ import (
 //
 // Edges are attributed to the enclosing declaration, including call
 // sites inside nested function literals and go statements: an edge f→g
-// means "g's body can run because f ran", which is the semantics the
-// concurrency analyzers (goroleak, lockorder, chandisc) need for
+// means "g's body can run because f ran", which is the semantics
+// fparith's sweep of the //dmmvet:hotpath region needs for
 // reachability. Dynamic call sites — calls through function values and
 // interface method calls — cannot be traversed and are counted per
 // node, so an analyzer can tell a complete picture from a truncated one.

@@ -82,8 +82,8 @@ var hotRe = regexp.MustCompile(`^//dmmvet:hotpath\b`)
 
 func run(mp *analysis.ModulePass) error {
 	// The FullName-keyed declaration index is the shared cfg.CallGraph
-	// (it started life here and was promoted for the concurrency
-	// analyzers). hotalloc keeps its own call-site walk below — it needs
+	// (it started life here and was promoted for sharing with
+	// fparith). hotalloc keeps its own call-site walk below — it needs
 	// to report dynamic, interface, and external calls at their exact
 	// positions, which the graph's deduped edges deliberately discard —
 	// but declaration lookup goes through the graph.

@@ -35,7 +35,7 @@ type Package struct {
 // importer. That lets fixture packages — which live under testdata and
 // are invisible to the source importer — import each other, so
 // interprocedural analyzers are testable with a caller in package A and
-// a spawned goroutine in package B. Packages resolved through Load do
+// its callee in package B. Packages resolved through Load do
 // NOT register: the repository's own packages must keep resolving
 // through the shared source-importer cache, or two universes of the same
 // import path would meet in one type-check.

@@ -5,14 +5,11 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/analysis/atomicstate"
-	"repro/internal/analysis/chandisc"
 	"repro/internal/analysis/ctxfirst"
 	"repro/internal/analysis/detflow"
 	"repro/internal/analysis/floateq"
 	"repro/internal/analysis/fparith"
-	"repro/internal/analysis/goroleak"
 	"repro/internal/analysis/hotalloc"
-	"repro/internal/analysis/lockorder"
 	"repro/internal/analysis/nakedgoroutine"
 	"repro/internal/analysis/seeddet"
 	"repro/internal/analysis/stateclone"
@@ -24,8 +21,8 @@ import (
 // regression gate for the analyzers themselves: a change that makes
 // hotalloc or detflow misfire on real code fails here, not in CI after
 // merge. It is also the main place cross-package call-graph traversal
-// (hotalloc's Step → obs/la walk, goroleak's entry-point reachability
-// into internal/par) is exercised over real module-sized input.
+// (hotalloc's Step → obs/la walk, fparith's sweep of the same hot
+// region) is exercised over real module-sized input.
 func TestSelfVet(t *testing.T) {
 	if testing.Short() {
 		t.Skip("self-vet type-checks the whole module; skipped in -short")
@@ -37,14 +34,11 @@ func TestSelfVet(t *testing.T) {
 	}
 	analyzers := []*analysis.Analyzer{
 		atomicstate.Analyzer,
-		chandisc.Analyzer,
 		ctxfirst.Analyzer,
 		detflow.Analyzer,
 		floateq.Analyzer,
 		fparith.Analyzer,
-		goroleak.Analyzer,
 		hotalloc.Analyzer,
-		lockorder.Analyzer,
 		nakedgoroutine.Analyzer,
 		seeddet.Analyzer,
 		stateclone.Analyzer,

@@ -88,6 +88,10 @@ func (c *Circuit) Multiplier(a, b []Signal) []Signal {
 		sum := c.AddWords(high, row) // len = na+1
 		acc = append(append([]Signal{}, low...), sum...)
 	}
+	if nb == 1 {
+		// a × one bit fits in na bits: the top product bit is constant 0.
+		acc = append(acc, c.Const(false))
+	}
 	// Total width = nb-1 (lows) + na+1 = na+nb.
 	return acc
 }

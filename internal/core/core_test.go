@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/classical"
@@ -59,6 +60,27 @@ func TestFactorizerRejectsTiny(t *testing.T) {
 	f := NewFactorizer(DefaultConfig())
 	if _, err := f.Factor(3); err == nil {
 		t.Fatal("n < 4 should error")
+	}
+}
+
+// TestFactorThreeBitInfeasible pins every 3-bit product: the (2, 1)-bit
+// words hold no product with bit 2 set, so the pin on the multiplier's
+// constant-0 top bit makes the problem infeasible. Factor must report an
+// unsolved outcome without launching an attempt, never a bogus factor
+// pair.
+func TestFactorThreeBitInfeasible(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.TEnd = 5
+	cfg.MaxAttempts = 1
+	for _, n := range []uint64{4, 5, 6, 7} {
+		res, err := NewFactorizer(cfg).Factor(n)
+		if err != nil {
+			t.Fatalf("Factor(%d): %v", n, err)
+		}
+		if res.Solved || res.Metrics.Launched != 0 || !strings.HasPrefix(res.Reason, "infeasible") {
+			t.Fatalf("Factor(%d) = solved %v, launched %d, reason %q; want an infeasible miss with no attempt",
+				n, res.Solved, res.Metrics.Launched, res.Reason)
+		}
 	}
 }
 

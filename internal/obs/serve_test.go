@@ -11,8 +11,10 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/par"
+	"repro/internal/leaktest"
 )
+
+func TestMain(m *testing.M) { leaktest.Main(m) }
 
 // TestWritePrometheusGolden pins the exposition format byte-for-byte on
 // a fixed registry: sorted names, dmm_ prefix, _total counters,
@@ -68,8 +70,11 @@ func TestPromNameAndFloat(t *testing.T) {
 	}
 }
 
+// get fetches url and closes the keep-alive connection afterwards, so no
+// client or server connection goroutine outlives the test.
 func get(t *testing.T, url string) (int, string, http.Header) {
 	t.Helper()
+	defer http.DefaultClient.CloseIdleConnections()
 	resp, err := http.Get(url)
 	if err != nil {
 		t.Fatalf("GET %s: %v", url, err)
@@ -132,7 +137,6 @@ func TestServeEndpoints(t *testing.T) {
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
-	par.Join()
 }
 
 // TestServeDisabledSubsystems pins the 404s when span profiling or the
@@ -143,10 +147,7 @@ func TestServeDisabledSubsystems(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		s.Shutdown(context.Background())
-		par.Join()
-	}()
+	defer s.Shutdown(context.Background())
 	base := "http://" + s.Addr()
 	if code, _, _ := get(t, base+"/debug/phases"); code != http.StatusNotFound {
 		t.Fatalf("/debug/phases without spans = %d, want 404", code)
@@ -177,7 +178,6 @@ func TestHealthzDuringDrain(t *testing.T) {
 	if err := s.Shutdown(ctx); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
-	par.Join()
 	if _, err := http.Get("http://" + s.Addr() + "/healthz"); err == nil {
 		t.Fatal("listener still accepting after Shutdown returned")
 	}
@@ -230,10 +230,10 @@ func TestConcurrentScrapeWhileStepping(t *testing.T) {
 	}
 	close(done)
 	wg.Wait()
+	http.DefaultClient.CloseIdleConnections()
 	if err := s.Shutdown(context.Background()); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
-	par.Join()
 
 	// The scrape path must not have perturbed the instruments.
 	if got := tl.Steps.Value(); got != 20_000 {

@@ -19,26 +19,12 @@ func Limit(n int) int {
 	return n
 }
 
-// bg tracks every goroutine started by Go, so Join can act as a
-// process-exit barrier and the goroleak analyzer sees a join discipline.
-var bg sync.WaitGroup
-
 // Go runs fn on its own goroutine. It exists for the few long-lived
 // service goroutines (the obs exposition server) that do not fit the
 // bounded ForEach pool; everything fan-out shaped must keep using
 // ForEach. Callers own fn's termination — typically a Shutdown call plus
-// a private done channel — and Join offers a global barrier over every
-// Go-started goroutine for orderly process exit and leak-checking tests.
-func Go(fn func()) {
-	bg.Add(1)
-	go func() {
-		defer bg.Done()
-		fn()
-	}()
-}
-
-// Join blocks until every goroutine started by Go has returned.
-func Join() { bg.Wait() }
+// a private done channel that Shutdown waits on.
+func Go(fn func()) { go fn() }
 
 // ForEach runs fn(ctx, i) for every i in [0, n) on at most Limit(parallelism)
 // goroutines and blocks until every started call returns. Indices are

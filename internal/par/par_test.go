@@ -5,7 +5,11 @@ import (
 	"runtime"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/leaktest"
 )
+
+func TestMain(m *testing.M) { leaktest.Main(m) }
 
 func TestForEachVisitsAll(t *testing.T) {
 	for _, p := range []int{1, 3, 16} {

@@ -154,6 +154,13 @@ func (pf *Portfolio) Solve(opts Options) (Result, error) {
 	opts = opts.withDefaults()
 	//dmmvet:allow detflow — wall-clock telemetry only (Result.Wall); never feeds the trajectory or the winner policy
 	start := time.Now()
+	if s, ok := pf.compiled[0].pinConflict(); ok {
+		return Result{
+			WinnerAttempt: -1,
+			Reason:        fmt.Sprintf("infeasible: the pin on signal %d contradicts its circuit constant", s),
+			Wall:          time.Since(start),
+		}, nil
+	}
 
 	ctx := opts.Ctx
 	if ctx == nil {

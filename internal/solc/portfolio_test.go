@@ -10,7 +10,10 @@ import (
 	"repro/internal/boolcirc"
 	"repro/internal/circuit"
 	"repro/internal/la"
+	"repro/internal/leaktest"
 )
+
+func TestMain(m *testing.M) { leaktest.Main(m) }
 
 // unsatProblem is AND(a, const-0) pinned to 1: no assignment satisfies it,
 // so every restart attempt runs to its time horizon.

@@ -26,7 +26,9 @@ type Compiled struct {
 	Eng circuit.Engine
 	// NodeOf maps each boolean signal to its circuit node.
 	NodeOf []circuit.Node
-	// Pins holds the imposed bits (constants plus caller pins).
+	// Pins holds the imposed bits (constants plus caller pins). A caller
+	// pin overrides a constant it contradicts; Solve reports such a
+	// problem as infeasible without launching an attempt.
 	Pins map[boolcirc.Signal]bool
 }
 
@@ -321,6 +323,18 @@ func (cs *Compiled) decodeWith(eng circuit.Engine, t float64, x la.Vector) boolc
 		assign[s] = nodeV[n] > 0
 	}
 	return assign
+}
+
+// pinConflict returns the lowest-numbered circuit constant that a caller
+// pin contradicts. No assignment satisfies such a problem, so no
+// equilibrium can verify.
+func (cs *Compiled) pinConflict() (boolcirc.Signal, bool) {
+	for s := boolcirc.Signal(0); int(s) < cs.BC.NumSignals(); s++ {
+		if v, ok := cs.BC.IsConst(s); ok && cs.Pins[s] != v {
+			return s, true
+		}
+	}
+	return 0, false
 }
 
 func (cs *Compiled) pinsRespected(a boolcirc.Assignment) bool {

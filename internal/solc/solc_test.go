@@ -1,6 +1,7 @@
 package solc
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/boolcirc"
@@ -81,6 +82,22 @@ func TestSolveRespectsConstants(t *testing.T) {
 	}
 	if res.Attempts != 2 {
 		t.Fatalf("attempts = %d, want 2", res.Attempts)
+	}
+}
+
+// TestPinContradictingConstantInfeasible pins a constant-0 signal to 1:
+// Solve must report the problem infeasible without launching an attempt.
+func TestPinContradictingConstantInfeasible(t *testing.T) {
+	bc := boolcirc.New()
+	k := bc.Const(false)
+	cs := Compile(bc, map[boolcirc.Signal]bool{k: true}, circuit.Default())
+	res, err := cs.Solve(DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Solved || res.Launched != 0 || res.WinnerAttempt != -1 || !strings.HasPrefix(res.Reason, "infeasible") {
+		t.Fatalf("got solved %v, launched %d, winner %d, reason %q; want an infeasible miss with no attempt",
+			res.Solved, res.Launched, res.WinnerAttempt, res.Reason)
 	}
 }
 
