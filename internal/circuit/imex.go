@@ -99,6 +99,8 @@ type IMEXStepper struct {
 	vPrev2 la.Vector // solution two steps back (quadratic extrapolation)
 	resid  la.Vector // refinement scratch: rhs − M·vNew
 	delta  la.Vector // refinement scratch: correction per sweep
+	dMem   la.Vector // slow-state scratch: per-memristor branch drop d
+	wMem   la.Vector // slow-state scratch: memristor window row
 
 	// energy accumulates the dissipated energy ∫ Σ_b g_b·d_b² dt over the
 	// resistive branches (Sec. VI-I's polynomial-energy accounting).
@@ -158,6 +160,8 @@ func NewIMEX(c *Circuit, stats *ode.Stats) *IMEXStepper {
 		vPrev2:        la.NewVector(c.nv),
 		resid:         la.NewVector(c.nv),
 		delta:         la.NewVector(c.nv),
+		dMem:          la.NewVector(c.nm),
+		wMem:          la.NewVector(c.nm),
 	}
 }
 
@@ -319,11 +323,22 @@ func (s *IMEXStepper) Step(sys ode.System, t, h float64, x la.Vector) (float64, 
 
 	// Explicit updates of the slow states using the new voltages, plus
 	// the dissipation tally g·d² per branch.
-	s.advanceSlowStates(h, x)
+	power, ok := s.advanceSlowStates(h, x)
 	// Commit voltages.
 	for f := 0; f < c.nv; f++ {
-		x[c.vOff()+f] = s.vNew[f]
+		v := s.vNew[f]
+		if !finite(v) {
+			ok = false
+		}
+		x[c.vOff()+f] = v
 	}
+	if !ok {
+		// The driver rejects a non-finite state, restores x and retries
+		// at a smaller h; the step's energy and counts must not outlive
+		// that rejection.
+		return 0, fmt.Errorf("%w at t=%g (h=%g)", ode.ErrNaNState, t+h, h)
+	}
+	s.energy += float64(h * power)
 	if s.stats != nil {
 		s.stats.Steps++
 		s.stats.FEvals++
@@ -352,32 +367,43 @@ func (s *IMEXStepper) Step(sys ode.System, t, h float64, x la.Vector) (float64, 
 }
 
 // advanceSlowStates performs the explicit update of the slow states —
-// memristor x through the Advance kernel, VCDCG currents i and controls
-// sv — from the freshly solved node voltages, accumulating the per-step
-// dissipation tally g·d² into the energy integral.
-func (s *IMEXStepper) advanceSlowStates(h float64, x la.Vector) {
+// memristor x through the AdvanceAll row kernel, VCDCG currents i and
+// controls sv — from the freshly solved node voltages. It returns the
+// step's dissipated power Σ g·d² over the resistive branches, for the
+// caller to commit, and whether every updated state is finite.
+func (s *IMEXStepper) advanceSlowStates(h float64, x la.Vector) (power float64, ok bool) {
 	c := s.c
 	p := &c.Params
-	var power float64
 	mb := &c.memBr
 	for j := 0; j < mb.len(); j++ {
 		d := s.nodeV[mb.node[j]] - mb.level(j, s.nodeV)
-		g := s.g[j]
-		power += float64(g * d * d)
-		x[c.xOff()+j] = p.Mem.Advance(h, mb.sigma[j], x[c.xOff()+j], d)
+		s.dMem[j] = d
+		power += float64(s.g[j] * d * d)
 	}
+	// s.g[:nm] holds G(Clamp(x)) from fillConductances — the same
+	// clamped states AdvanceAll starts from.
+	ok = p.Mem.AdvanceAll(h, mb.sigma, s.dMem, s.g[:c.nm], x[c.xOff():c.xOff()+c.nm], s.wMem)
 	rb := &c.resBr
 	invR := 1 / p.R
 	for j := 0; j < rb.len(); j++ {
 		d := s.nodeV[rb.node[j]] - rb.level(j, s.nodeV)
 		power += float64(d * d * invR)
 	}
-	s.energy += float64(h * power)
 	offset := p.DCG.FsOffset(x[c.iOff() : c.iOff()+c.nd])
 	for k, node := range c.dcgNodes {
 		i := x[c.iOff()+k]
 		sv := x[c.sOff()+k]
-		x[c.iOff()+k] = i + float64(h*p.DCG.DiDt(s.nodeV[node], i, sv))
-		x[c.sOff()+k] = sv + float64(h*p.DCG.Fs(sv, offset))
+		iNew := i + float64(h*p.DCG.DiDt(s.nodeV[node], i, sv))
+		sNew := sv + float64(h*p.DCG.Fs(sv, offset))
+		if !finite(iNew) || !finite(sNew) {
+			ok = false
+		}
+		x[c.iOff()+k] = iNew
+		x[c.sOff()+k] = sNew
 	}
+	return power, ok
 }
+
+// finite reports whether v is neither NaN nor ±Inf: v − v is 0 for
+// every finite v and NaN otherwise.
+func finite(v float64) bool { return v-v == 0 }

@@ -26,20 +26,30 @@ func buildMixed(t *testing.T) *Circuit {
 }
 
 // buildMult3 compiles the 3-bit multiplier SOLC (6-bit product pinned to
-// 15 = 3 × 5) the way solc.Compile does: one node per boolean signal, one
-// self-organizing gate per boolean gate, and the circuit constants plus
-// the product bits pinned.
+// 15 = 3 × 5) with Default parameters.
 func buildMult3(t *testing.T) *Circuit {
+	t.Helper()
+	bc := boolcirc.New()
+	prod := bc.Multiplier(bc.NewSignals(3), bc.NewSignals(3))
+	pins := map[boolcirc.Signal]bool{}
+	for i, s := range prod {
+		pins[s] = 15&(1<<uint(i)) != 0
+	}
+	return compileBool(t, bc, pins)
+}
+
+// compileBool compiles a boolean circuit the way solc.Compile does: one
+// node per boolean signal, one self-organizing gate per boolean gate,
+// and the circuit constants plus pins pinned, with Default parameters.
+func compileBool(t *testing.T, bc *boolcirc.Circuit, pins map[boolcirc.Signal]bool) *Circuit {
 	t.Helper()
 	kinds := map[boolcirc.Op]solg.Kind{
 		boolcirc.And: solg.AND, boolcirc.Or: solg.OR, boolcirc.Xor: solg.XOR,
 		boolcirc.Nand: solg.NAND, boolcirc.Nor: solg.NOR, boolcirc.Xnor: solg.XNOR,
 	}
-	bc := boolcirc.New()
-	prod := bc.Multiplier(bc.NewSignals(3), bc.NewSignals(3))
-	pins := bc.Constants()
-	for i, s := range prod {
-		pins[s] = 15&(1<<uint(i)) != 0
+	all := bc.Constants()
+	for s, v := range pins {
+		all[s] = v
 	}
 	b := NewBuilder(Default())
 	nodes := b.Nodes(bc.NumSignals())
@@ -54,7 +64,7 @@ func buildMult3(t *testing.T) *Circuit {
 		}
 		b.AddGate(k, nodes[g.A], nodes[g.B], nodes[g.Out])
 	}
-	for s, v := range pins {
+	for s, v := range all {
 		b.PinBit(nodes[s], v)
 	}
 	return b.Build()

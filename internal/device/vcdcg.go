@@ -56,7 +56,7 @@ func DefaultVCDCG() VCDCG {
 // ±Vc, and saturation at ±Q. Between 0 and Vc it is the upper envelope of
 // the two linear pieces clamped at -Q (mirrored on the negative side),
 // reproducing the sketch in Fig. 7.
-func (d VCDCG) FDCG(v float64) float64 {
+func (d *VCDCG) FDCG(v float64) float64 {
 	if v < 0 {
 		return -d.FDCG(-v)
 	}
@@ -81,7 +81,7 @@ func (d VCDCG) FDCG(v float64) float64 {
 
 // Rho evaluates ρ(s) = θ̃((s - 1/2)/δs) (Eq. 44); with δs ≤ 0 it is the hard
 // step at s = 1/2.
-func (d VCDCG) Rho(s float64) float64 {
+func (d *VCDCG) Rho(s float64) float64 {
 	if d.DeltaS <= 0 || d.Step == nil {
 		if s > 0.5 {
 			return 1
@@ -93,7 +93,7 @@ func (d VCDCG) Rho(s float64) float64 {
 
 // currentWindow evaluates θ̃((iRef² - i²)/δ): 1 when |i| < iRef, 0 when
 // |i| > iRef (hard form for δ ≤ 0).
-func (d VCDCG) currentWindow(iRef, i, delta float64) float64 {
+func (d *VCDCG) currentWindow(iRef, i, delta float64) float64 {
 	arg := float64(iRef*iRef) - float64(i*i)
 	if delta <= 0 || d.Step == nil {
 		if arg > 0 {
@@ -104,7 +104,7 @@ func (d VCDCG) currentWindow(iRef, i, delta float64) float64 {
 	return d.Step.Eval(arg / delta)
 }
 
-func (d VCDCG) deltaFor(fallbackPriority float64) float64 {
+func (d *VCDCG) deltaFor(fallbackPriority float64) float64 {
 	if fallbackPriority > 0 {
 		return fallbackPriority
 	}
@@ -121,7 +121,7 @@ func (d VCDCG) deltaFor(fallbackPriority float64) float64 {
 // ρ(1-s) on so currents decay), and c = 0 in between (bistable hold). This
 // reproduces the three red lines of Fig. 10 — the figure plots the cubic
 // -ks·s(s-1)(2s-1) and marks its intersections with the level -c.
-func (d VCDCG) FsOffset(currents []float64) float64 {
+func (d *VCDCG) FsOffset(currents []float64) float64 {
 	dMin := d.deltaFor(d.DeltaIMin)
 	dMax := d.deltaFor(d.DeltaIMax)
 	a, b := 1.0, 1.0
@@ -136,21 +136,21 @@ func (d VCDCG) FsOffset(currents []float64) float64 {
 // computed by FsOffset:
 //
 //	ds/dt = -Ks·s(s-1)(2s-1) + offset .
-func (d VCDCG) Fs(s, offset float64) float64 {
+func (d *VCDCG) Fs(s, offset float64) float64 {
 	return float64(-d.Ks*s*(s-1)*(float64(2*s)-1)) + offset
 }
 
 // DiDt evaluates the current equation (Eq. 23) for one VCDCG:
 //
 //	di/dt = ρ(s)·f_DCG(v) - γ·ρ(1-s)·i .
-func (d VCDCG) DiDt(v, i, s float64) float64 {
+func (d *VCDCG) DiDt(v, i, s float64) float64 {
 	return float64(d.Rho(s)*d.FDCG(v)) - float64(d.Gamma*d.Rho(1-s)*i)
 }
 
 // SEquilibria returns the real roots of Fs(s, offset) = 0 sorted
 // ascending, each flagged stable (ds/dt decreasing through the root) or
 // not; this regenerates the Fig. 10 stability picture.
-func (d VCDCG) SEquilibria(offset float64) []SRoot {
+func (d *VCDCG) SEquilibria(offset float64) []SRoot {
 	f := func(s float64) float64 { return d.Fs(s, offset) }
 	var roots []SRoot
 	// The cubic's roots lie within [-1, 2] for |offset| ≤ Ki and the
@@ -193,7 +193,7 @@ type SRoot struct {
 // SMax returns the unique zero of Fs with the drive offset +Ki (all
 // currents below imin, i_DCG = 0), which Prop. VI.5 identifies as the upper
 // bound s_max of the invariant region for s.
-func (d VCDCG) SMax() float64 {
+func (d *VCDCG) SMax() float64 {
 	roots := d.SEquilibria(+d.Ki)
 	if len(roots) == 0 {
 		return 1

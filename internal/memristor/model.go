@@ -44,8 +44,8 @@ func (m Model) M(x float64) float64 { return float64(m.Ron*(1-x)) + float64(m.Ro
 // G returns the conductance g(x) = 1/(R1·x + Ron) (Eq. 26). The
 // float64(...) around the product is an explicit rounding barrier: it
 // keeps R1·x from fusing into the add as an FMA on arm64, so g(x) is
-// bit-identical across architectures (and to the flattened Advance
-// kernel, which spells the same barrier).
+// bit-identical across architectures; AdvanceAll takes this value as
+// its g input.
 func (m Model) G(x float64) float64 { return 1 / (float64(m.R1()*x) + m.Ron) }
 
 // theta evaluates the voltage gate of Eq. (40): θ̃_r(v / 2Vt), reducing to
@@ -63,9 +63,11 @@ func (m Model) theta(v float64) float64 {
 // window returns the boundary factor 1 - e^{-k·d} where d is the distance
 // from the blocking boundary; with K = ∞ it is the hard indicator d > 0.
 // d = 0 short-circuits the exp: 1 - e^{-k·0} is exactly 0 in IEEE
-// arithmetic, and a clamped state pinned at its blocking boundary — the
-// steady state of every saturated device — lands exactly there, so the
-// fast path is bit-identical and covers the bulk of hot-loop calls.
+// arithmetic, so the fast path is bit-identical. It is not a hot-loop
+// saving: in the paper-small benchmark's IMEX solves only ~0.95% of
+// window evaluations sit exactly at the blocking boundary (d = 0) and
+// ~0.005% at d = 1, so AdvanceAll evaluates the exp for every device in
+// one tight pass instead.
 func (m Model) window(d float64) float64 {
 	if math.IsInf(m.K, 1) {
 		if d > 0 {
@@ -106,67 +108,92 @@ func (m Model) DxDt(x, vM float64) float64 {
 	return -m.Alpha * m.H(x, vM) * m.G(x) * vM
 }
 
-// Advance returns the explicit memristor update for one device:
+// AdvanceAll performs the explicit memristor update for a row of devices
+// held as parallel arrays: for every j,
 //
-//	Clamp(x' + h·DxDt(x', σ·d)),  x' = Clamp(x).
+//	x[j] ← Clamp(x' + h·DxDt(x', sigma[j]·d[j])),  x' = Clamp(x[j]),
 //
-// The arithmetic is the exact operation sequence of Clamp/DxDt/H/
-// window/theta with the call tree flattened, so the hot loop pays no
-// call frames; the property tests check bit-identity against the
-// Clamp/DxDt composition. Dropping the θ factor on the hard-threshold
-// branches is exact: θ is 1 there and w·1 ≡ w in IEEE arithmetic for
-// every w including ±0 and NaN. The float64(...) barriers pin the
-// FMA-fusable products to two roundings on every architecture
-// (bit-neutral where the compiler was not fusing anyway).
+// where g[j] must be G(x') — the conductance the caller's voltage solve
+// already evaluated from the same clamped state — and w is scratch of
+// len(x) whose contents on entry are ignored. It reports false when some
+// updated state is NaN; Clamp maps ±Inf into [0,1], so NaN is the only
+// non-finite outcome.
+//
+// The row runs in three passes, so the exponential sits in a tight loop
+// of its own instead of behind the per-device branches:
+//
+//  1. (finite K) the distance of each clamped state from its blocking
+//     boundary — x' when vM ≥ 0, 1 − x' when vM < 0 — into w;
+//  2. (finite K) w ← 1 − e^{−K·w}, the boundary window of Eq. (31);
+//  3. the window, the θ̃ gate of Eq. (40), g and vM into the Euler update.
+//
+// Every value is bit-identical to the Clamp/DxDt composition (the
+// property tests check it):
+//
+//   - Pass 2 has no d = 0 fast path: for any K but NaN and −∞, −K·0 is
+//     ±0, e^{±0} is 1, and 1 − 1 is +0 — the value window returns there.
+//   - The product (−α·hv)·g·vM keeps DxDt's association, and g[j] is the
+//     same G(x') expression the scalar path evaluates.
+//   - Above the gate (|vM| ≥ 2Vt) the correctly rounded |vM|/2Vt is ≥ 1,
+//     so θ̃ returns exactly 1 and hv·1 ≡ hv: skipping Eval there is exact.
+//     On the hard-threshold branches θ is 1 and is dropped the same way.
+//
+// The float64(...) barrier pins the FMA-fusable h·ẋ + x' to two
+// roundings on every architecture.
 //
 //dmmvet:hotpath
-func (m Model) Advance(h, sigma, x, d float64) float64 {
+func (m Model) AdvanceAll(h float64, sigma, d, g, x, w []float64) bool {
+	n := len(x)
+	sigma, d, g, w = sigma[:n], d[:n], g[:n], w[:n]
 	hardK := math.IsInf(m.K, 1)
-	hardT := m.Vt <= 0 || m.Step == nil
-	nk := -m.K
-	na := -m.Alpha
-	r1 := m.Roff - m.Ron
-	ron := m.Ron
+	if !hardK {
+		for j := range x {
+			dist := Clamp(x[j])
+			if sigma[j]*d[j] < 0 {
+				dist = 1 - dist
+			}
+			w[j] = dist
+		}
+		nk := -m.K
+		for j := range w {
+			w[j] = 1 - math.Exp(nk*w[j])
+		}
+	}
+	softT := m.Vt > 0 && m.Step != nil
 	vt2 := 2 * m.Vt
 	step := m.Step
-	xi := x
-	if xi < 0 {
-		xi = 0
-	} else if xi > 1 {
-		xi = 1
-	}
-	vM := sigma * d
-	// h(x, vM) of Eq. (31)/(40), flattened: pick the blocking side,
-	// then its window and (for soft thresholds) the θ̃ gate.
-	var hv float64
-	if vM != 0 {
-		dist := xi // distance from the blocking boundary
-		if vM < 0 {
-			dist = 1 - xi
-		}
-		if hardK {
-			if dist > 0 {
-				hv = 1
+	na := -m.Alpha
+	finite := true
+	for j := range x {
+		xi := Clamp(x[j])
+		vM := sigma[j] * d[j]
+		var hv float64
+		if vM != 0 {
+			if !hardK {
+				hv = w[j]
+			} else {
+				dist := xi
+				if vM < 0 {
+					dist = 1 - xi
+				}
+				if dist > 0 {
+					hv = 1
+				}
 			}
-		} else if dist != 0 {
-			hv = 1 - math.Exp(nk*dist)
-		}
-		if !hardT {
-			av := vM
-			if av < 0 {
-				av = -av
+			if softT {
+				av := math.Abs(vM)
+				if av < vt2 {
+					hv *= step.Eval(av / vt2)
+				}
 			}
-			hv *= step.Eval(av / vt2)
 		}
+		xn := Clamp(xi + float64(h*(na*hv*g[j]*vM)))
+		if math.IsNaN(xn) {
+			finite = false
+		}
+		x[j] = xn
 	}
-	g := 1 / (float64(r1*xi) + ron)
-	xn := xi + float64(h*(na*hv*g*vM))
-	if xn < 0 {
-		xn = 0
-	} else if xn > 1 {
-		xn = 1
-	}
-	return xn
+	return finite
 }
 
 // Clamp returns x restricted to the invariant interval [0,1].

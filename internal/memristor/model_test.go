@@ -182,39 +182,156 @@ func TestWindowZeroFastPathBitIdentical(t *testing.T) {
 	}
 }
 
-// TestAdvanceBitIdentical pins the scalar Advance kernel to the
-// composition Clamp(Clamp(x) + h·DxDt(Clamp(x), σ·d)) bitwise, over
-// hard and soft windows and thresholds, boundary states, and zero drops.
-func TestAdvanceBitIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	models := []Model{Default()}
+// rowCase is one device of an AdvanceAll property row.
+type rowCase struct{ sigma, x, d float64 }
+
+// checkRow runs AdvanceAll over cs and asserts every element bitwise
+// against the scalar composition Clamp(x' + h·DxDt(x', σ·d)),
+// x' = Clamp(x). The scratch row w starts as poison, so a kernel that
+// read stale scratch would show as a mismatch.
+func checkRow(t *testing.T, m Model, h float64, cs []rowCase, w []float64) {
+	t.Helper()
+	n := len(cs)
+	sigma, d, g, x := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+	for j, c := range cs {
+		sigma[j], d[j], x[j] = c.sigma, c.d, c.x
+		g[j] = m.G(Clamp(c.x))
+	}
+	if !m.AdvanceAll(h, sigma, d, g, x, w[:n]) {
+		t.Fatalf("AdvanceAll reported a non-finite state on finite input")
+	}
+	for j, c := range cs {
+		xi := Clamp(c.x)
+		want := Clamp(xi + h*m.DxDt(xi, c.sigma*c.d))
+		if math.Float64bits(x[j]) != math.Float64bits(want) {
+			t.Fatalf("element %d: AdvanceAll %v (%#x), scalar composition %v (%#x) [σ=%v x=%v d=%v]",
+				j, x[j], math.Float64bits(x[j]), want, math.Float64bits(want), c.sigma, c.x, c.d)
+		}
+	}
+}
+
+// rowModels returns the device variants the row kernel must reproduce:
+// the Table II hard window and threshold, the solution-mode finite K
+// with a soft threshold, a positive Vt with no smooth step, a soft
+// threshold with finite K = 0, and a step order past maxPolyOrder
+// (incomplete-beta branch of Eval).
+func rowModels() map[string]Model {
 	soft := Default()
 	soft.Alpha, soft.K, soft.Vt = 0.5, 20, 0.05
-	models = append(models, soft)
-	hardStep := soft
-	hardStep.Step = nil
-	models = append(models, hardStep)
-	for mi, m := range models {
-		for trial := 0; trial < 500; trial++ {
-			h := 1e-3 * (0.5 + rng.Float64())
-			sigma := 1.0
-			if rng.Intn(2) == 0 {
-				sigma = -1
+	nilStep := soft
+	nilStep.Step = nil
+	hardKSoftT := soft
+	hardKSoftT.K = math.Inf(1)
+	zeroK := soft
+	zeroK.K = 0
+	highR := soft
+	highR.Step = NewSmoothStep(maxPolyOrder + 2)
+	return map[string]Model{
+		"table-II": Default(), "soft": soft, "vt-nil-step": nilStep,
+		"hard-k-soft-t": hardKSoftT, "k-zero": zeroK, "high-r": highR,
+	}
+}
+
+// TestAdvanceAllBitIdentical pins the AdvanceAll row kernel to the
+// scalar Clamp/DxDt composition bitwise: boundary and out-of-range
+// states (including −0), zero drops, drops just below, at and above the
+// 2Vt gate, and random rows, over every rowModels variant.
+func TestAdvanceAllBitIdentical(t *testing.T) {
+	for name, m := range rowModels() {
+		t.Run(name, func(t *testing.T) {
+			h := 1e-3
+			var cs []rowCase
+			vt2 := 2 * m.Vt
+			drops := []float64{0, 0.3, -0.3, 1e-300}
+			if vt2 > 0 {
+				below := math.Nextafter(vt2, 0)
+				above := math.Nextafter(vt2, 1)
+				drops = append(drops, below, vt2, above, -below, -vt2, -above)
 			}
-			x := rng.Float64()*1.4 - 0.2
-			if rng.Intn(4) == 0 {
-				x = float64(rng.Intn(2))
+			for _, x := range []float64{math.Copysign(0, -1), 0, 1, -0.2, 1.3, 0.5, 1e-9, 1 - 1e-9} {
+				for _, d := range drops {
+					for _, sigma := range []float64{1, -1} {
+						cs = append(cs, rowCase{sigma, x, d})
+					}
+				}
 			}
-			d := 2 * (rng.Float64() - 0.5)
-			if rng.Intn(5) == 0 {
-				d = 0
+			w := make([]float64, len(cs)+600)
+			for i := range w {
+				w[i] = math.NaN() // stale scratch must never reach the result
 			}
-			xi := Clamp(x)
-			want := Clamp(xi + h*m.DxDt(xi, sigma*d))
-			if got := m.Advance(h, sigma, x, d); math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("model %d trial %d: Advance %v (%#x), scalar composition %v (%#x) [x=%v d=%v]",
-					mi, trial, got, math.Float64bits(got), want, math.Float64bits(want), x, d)
+			checkRow(t, m, h, cs, w)
+
+			rng := rand.New(rand.NewSource(17))
+			for trial := 0; trial < 20; trial++ {
+				cs = cs[:0]
+				for j := 0; j < 25*(trial+1); j++ {
+					sigma := 1.0
+					if rng.Intn(2) == 0 {
+						sigma = -1
+					}
+					x := rng.Float64()*1.4 - 0.2
+					if rng.Intn(4) == 0 {
+						x = float64(rng.Intn(2))
+					}
+					d := 2 * (rng.Float64() - 0.5)
+					if rng.Intn(5) == 0 {
+						d = 0
+					}
+					cs = append(cs, rowCase{sigma, x, d})
+				}
+				// w keeps the previous row's windows: the next row must
+				// not depend on them.
+				checkRow(t, m, 1e-3*(0.5+rng.Float64()), cs, w)
 			}
-		}
+		})
+	}
+}
+
+// TestAdvanceAllFlagsNaN checks the kernel's finiteness report: a NaN
+// drop yields a NaN state and false, while the rest of the row still
+// matches the scalar composition.
+func TestAdvanceAllFlagsNaN(t *testing.T) {
+	m := rowModels()["soft"]
+	sigma := []float64{1, -1, 1}
+	d := []float64{0.2, math.NaN(), -0.4}
+	x := []float64{0.3, 0.6, 0.9}
+	g := make([]float64, len(x))
+	for j := range x {
+		g[j] = m.G(x[j])
+	}
+	want0 := Clamp(x[0] + 1e-3*m.DxDt(x[0], 0.2))
+	if m.AdvanceAll(1e-3, sigma, d, g, x, make([]float64, len(x))) {
+		t.Fatalf("AdvanceAll reported finite with a NaN drop")
+	}
+	if !math.IsNaN(x[1]) || math.Float64bits(x[0]) != math.Float64bits(want0) {
+		t.Fatalf("row after NaN drop = %v, want [%v NaN …]", x, want0)
+	}
+}
+
+// BenchmarkAdvanceAll times the row kernel on a solution-mode device
+// row (finite K, soft threshold) of interior states, and fails if a
+// call allocates.
+func BenchmarkAdvanceAll(b *testing.B) {
+	m := rowModels()["soft"]
+	const n = 1024
+	rng := rand.New(rand.NewSource(3))
+	sigma, d, g, x, w := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, n)
+	x0 := make([]float64, n)
+	for j := range x0 {
+		sigma[j] = float64(1 - 2*rng.Intn(2))
+		d[j] = 2 * (rng.Float64() - 0.5)
+		x0[j] = rng.Float64()
+		g[j] = m.G(x0[j])
+	}
+	run := func() {
+		copy(x, x0)
+		m.AdvanceAll(1e-3, sigma, d, g, x, w)
+	}
+	if a := testing.AllocsPerRun(10, run); a != 0 {
+		b.Fatalf("AdvanceAll allocates %.1f/op, want 0", a)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		run()
 	}
 }
